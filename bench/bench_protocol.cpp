@@ -183,15 +183,6 @@ void BM_ServerHandleQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerHandleQuery);
 
-void BM_ZipfSample(benchmark::State& state) {
-  Rng rng(8);
-  ZipfSampler zipf(1.1, 1000000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(zipf.sample(rng));
-  }
-}
-BENCHMARK(BM_ZipfSample);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,25 +1,33 @@
 #!/usr/bin/env bash
-# Longitudinal monitor smoke (DESIGN.md §15), the CI gate for the
-# crash-recovery determinism contract:
-#   1. an uninterrupted dnsboot-monitor run over a small world must journal
-#      >= 3 distinct transition kinds and write a final snapshot;
-#   2. the same run killed with SIGKILL mid-stream and restarted with the
-#      same flags must converge to the byte-identical journal and adoption
-#      report (replayed prefix verified, tail re-appended);
-#   3. a run with --metrics-port must expose the dnsboot_monitor_* family
+# Longitudinal monitor smoke (DESIGN.md §15, §16), the CI gate for the
+# crash-recovery determinism contract and the KASP world motion:
+#   1. an uninterrupted dnsboot-monitor run over a small world for 90
+#      simulated days must journal >= 3 distinct transition kinds and write
+#      a final snapshot; the journal header must carry the motion=kasp world
+#      tag;
+#   2. that journal must show clean ZSK pre-publication rollovers (phase
+#      unchanged, DNSKEY RRset digest changed), clean KSK double-DS
+#      rollovers (phase unchanged, DS digest changed), broken-rollover
+#      transitions in both directions (break + repair), and a key_state
+#      column witnessing mid-rollover and broken-rollover zones;
+#   3. the same run killed with SIGKILL mid-stream and restarted with the
+#      same flags must converge to the byte-identical journal, snapshot and
+#      adoption reports (replayed prefix verified, tail re-appended — which
+#      also proves two uninterrupted runs identical);
+#   4. a run with --metrics-port must expose the dnsboot_monitor_* family
 #      (plus the NamePool gauges) on GET /metrics, linted by
 #      check_prometheus.sh.
 #
 # Usage: scripts/monitor_smoke.sh [BUILD_DIR]
 #   BUILD_DIR    cmake build tree holding tools/ (default: build)
-# Environment: SCALE_DENOM (default 400000, ~750 zones), SEED (7),
-#   SIM_DAYS (3), METRICS_PORT (9311).
+# Environment: SCALE_DENOM (default 2000000, ~160 zones), SEED (7),
+#   SIM_DAYS (90), METRICS_PORT (9311).
 set -euo pipefail
 
 build_dir=${1:-build}
-scale_denom=${SCALE_DENOM:-400000}
+scale_denom=${SCALE_DENOM:-2000000}
 seed=${SEED:-7}
-sim_days=${SIM_DAYS:-3}
+sim_days=${SIM_DAYS:-90}
 metrics_port=${METRICS_PORT:-9311}
 script_dir=$(cd "$(dirname "$0")" && pwd)
 
@@ -41,14 +49,15 @@ cleanup() {
 trap cleanup EXIT
 
 common=(--scale-denom "$scale_denom" --seed "$seed" --sim-days "$sim_days"
-        --snapshot-every 12h --quiet)
+        --snapshot-every 2d --quiet)
 
 echo "monitor_smoke: uninterrupted run (seed $seed, 1/$scale_denom, ${sim_days}d)"
 mkdir -p "$workdir/full"
 "$monitor" "${common[@]}" --state-dir "$workdir/full" \
   --json "$workdir/full.json" --csv "$workdir/full.csv"
 
-for f in "$workdir/full/journal.log" "$workdir/full/snapshot.dnsboot"; do
+journal="$workdir/full/journal.log"
+for f in "$journal" "$workdir/full/snapshot.dnsboot"; do
   if [[ ! -s "$f" ]]; then
     echo "monitor_smoke: FAIL — $f missing or empty" >&2
     exit 1
@@ -62,14 +71,43 @@ if [[ "$kinds" -lt 3 ]]; then
 fi
 echo "monitor_smoke: $kinds distinct transition kinds"
 
+if ! head -n 1 "$journal" | grep -q 'motion=kasp'; then
+  echo "monitor_smoke: FAIL — journal world tag lacks motion=kasp:" >&2
+  head -n 1 "$journal" >&2
+  exit 1
+fi
+
+# Journal record fields (journal v2, tab-separated):
+#   1=T 2=seq 3=at 4=zone 5=from 6=to 7=cds 8=ds 9=dnskey 10=key_state 11=op
+# Digest fields: "=" unchanged, "-" absent, else the new digest.
+count() { awk -F'\t' "$1" "$journal" | wc -l; }
+
+zsk_rolls=$(count '$1=="T" && $5==$6 && $9!="=" && $9!="-" && $8=="="')
+ksk_rolls=$(count '$1=="T" && $5==$6 && $8!="=" && $8!="-"')
+breaks=$(count '$1=="T" && $6=="broken_rollover"')
+repairs=$(count '$1=="T" && $5=="broken_rollover"')
+mid_states=$(count '$1=="T" && $10=="mid-rollover"')
+broken_states=$(count '$1=="T" && $10=="broken-rollover"')
+
+echo "monitor_smoke: zsk=$zsk_rolls ksk=$ksk_rolls break=$breaks repair=$repairs" \
+     "key_state mid=$mid_states broken=$broken_states"
+fail=0
+[[ "$zsk_rolls" -ge 1 ]] || { echo "monitor_smoke: FAIL — no clean ZSK rollover journaled (steady-phase DNSKEY change)" >&2; fail=1; }
+[[ "$ksk_rolls" -ge 1 ]] || { echo "monitor_smoke: FAIL — no KSK double-DS rollover journaled (steady-phase DS change)" >&2; fail=1; }
+[[ "$breaks" -ge 1 ]] || { echo "monitor_smoke: FAIL — no transition into broken_rollover journaled" >&2; fail=1; }
+[[ "$repairs" -ge 1 ]] || { echo "monitor_smoke: FAIL — no repair out of broken_rollover journaled" >&2; fail=1; }
+[[ "$mid_states" -ge 1 ]] || { echo "monitor_smoke: FAIL — key_state never reported mid-rollover" >&2; fail=1; }
+[[ "$broken_states" -ge 1 ]] || { echo "monitor_smoke: FAIL — key_state never reported broken-rollover" >&2; fail=1; }
+[[ "$fail" -eq 0 ]] || exit 1
+
 echo "monitor_smoke: SIGKILL mid-run, then restart with the same flags"
 mkdir -p "$workdir/crash"
 "$monitor" "${common[@]}" --state-dir "$workdir/crash" \
   --json "$workdir/crash_first.json" >"$workdir/crash.log" 2>&1 &
 monitor_pid=$!
 # Kill once the journal shows real progress (but before it can finish).
-target=$(( $(wc -c < "$workdir/full/journal.log") / 4 ))
-for _ in $(seq 1 300); do
+target=$(( $(wc -c < "$journal") / 4 ))
+for _ in $(seq 1 600); do
   size=$(stat -c %s "$workdir/crash/journal.log" 2>/dev/null || echo 0)
   if [[ "$size" -ge "$target" ]]; then
     break
@@ -86,7 +124,7 @@ monitor_pid=
 "$monitor" "${common[@]}" --state-dir "$workdir/crash" \
   --json "$workdir/crash.json" --csv "$workdir/crash.csv"
 
-if ! cmp -s "$workdir/full/journal.log" "$workdir/crash/journal.log"; then
+if ! cmp -s "$journal" "$workdir/crash/journal.log"; then
   echo "monitor_smoke: FAIL — restarted journal differs from uninterrupted run" >&2
   exit 1
 fi
@@ -105,8 +143,10 @@ fi
 echo "monitor_smoke: kill-restart-resume converged byte-identically"
 
 echo "monitor_smoke: /metrics scrape on :$metrics_port"
-"$monitor" "${common[@]}" --metrics-port "$metrics_port" --max-seconds 600 \
-  >"$workdir/serve.log" 2>&1 &
+# A short window: the scrape only needs the registry up, and SIGTERM is
+# honoured once the simulation has finished.
+"$monitor" "${common[@]}" --sim-days 3 --metrics-port "$metrics_port" \
+  --max-seconds 600 >"$workdir/serve.log" 2>&1 &
 monitor_pid=$!
 
 scrape() {
@@ -153,4 +193,4 @@ kill -TERM "$monitor_pid" 2>/dev/null || true
 wait "$monitor_pid" 2>/dev/null || true
 monitor_pid=
 
-echo "monitor_smoke: OK — kinds, kill-restart identity, snapshot, /metrics all pass"
+echo "monitor_smoke: OK — kinds, rollover evidence, key_state, kill-restart identity, snapshot, /metrics all pass"

@@ -1,7 +1,6 @@
 #include "base/rng.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace dnsboot {
 
@@ -94,47 +93,6 @@ std::vector<std::uint8_t> Rng::bytes(std::size_t n) {
 
 Rng Rng::fork(const std::string& label) const {
   return Rng(seed_ ^ fnv1a(label) ^ 0xa5a5a5a5a5a5a5a5ULL);
-}
-
-ZipfSampler::ZipfSampler(double exponent, std::uint64_t n)
-    : s_(exponent), n_(n) {
-  assert(n >= 1);
-  assert(exponent > 0.0);
-  h_integral_x1_ = h_integral(1.5) - 1.0;
-  h_integral_n_ = h_integral(static_cast<double>(n) + 0.5);
-  sdiv_ = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
-}
-
-double ZipfSampler::h(double x) const { return std::exp(-s_ * std::log(x)); }
-
-double ZipfSampler::h_integral(double x) const {
-  double log_x = std::log(x);
-  // Integral of x^-s: handles s == 1 via the helper below.
-  double t = log_x * (1.0 - s_);
-  double helper = (std::abs(t) > 1e-8) ? std::expm1(t) / t : 1.0 + t / 2.0 + t * t / 6.0;
-  return log_x * helper;
-}
-
-double ZipfSampler::h_integral_inverse(double x) const {
-  double t = x * (1.0 - s_);
-  if (t < -1.0) t = -1.0;  // numerical guard
-  double helper = (std::abs(t) > 1e-8) ? std::log1p(t) / t : 1.0 - t / 2.0 + t * t / 3.0;
-  return std::exp(x * helper);
-}
-
-std::uint64_t ZipfSampler::sample(Rng& rng) const {
-  // Rejection-inversion sampling (Hörmann & Derflinger 1996).
-  while (true) {
-    double u = h_integral_n_ + rng.next_double() * (h_integral_x1_ - h_integral_n_);
-    double x = h_integral_inverse(u);
-    std::uint64_t k = static_cast<std::uint64_t>(x + 0.5);
-    if (k < 1) k = 1;
-    if (k > n_) k = n_;
-    double kd = static_cast<double>(k);
-    if (kd - x <= sdiv_ || u >= h_integral(kd + 0.5) - h(kd)) {
-      return k;
-    }
-  }
 }
 
 std::uint64_t fnv1a(const std::string& s) {

@@ -45,29 +45,6 @@ class Rng {
   std::uint64_t seed_;
 };
 
-// Zipf(s, n) sampler over ranks 1..n. DNS operator portfolio sizes and
-// domain-name popularity are heavy-tailed; the generator uses this to draw
-// realistic long-tail assignments (rejection-inversion, Hörmann & Derflinger).
-class ZipfSampler {
- public:
-  ZipfSampler(double exponent, std::uint64_t n);
-  std::uint64_t sample(Rng& rng) const;
-
-  double exponent() const { return s_; }
-  std::uint64_t n() const { return n_; }
-
- private:
-  double h(double x) const;
-  double h_integral(double x) const;
-  double h_integral_inverse(double x) const;
-
-  double s_;
-  std::uint64_t n_;
-  double h_integral_x1_;
-  double h_integral_n_;
-  double sdiv_;
-};
-
 // FNV-1a — stable string hashing for fork labels and operator bucketing.
 std::uint64_t fnv1a(const std::string& s);
 

@@ -58,6 +58,8 @@ Monitor::Monitor(net::Transport& network, ecosystem::Ecosystem& eco,
   metrics_.set_help("dnsboot_monitor_journal_replayed_total",
                     "regenerated transitions verified against the recovered "
                     "journal instead of re-appended");
+  metrics_.set_help("dnsboot_monitor_snapshot_write_errors_total",
+                    "periodic snapshot writes that failed");
   // Pre-create everything the run-time paths touch (registry contract:
   // name-map mutation is constructor-only; a live scrape thread may snapshot
   // while the atomics update).
@@ -67,6 +69,7 @@ Monitor::Monitor(net::Transport& network, ecosystem::Ecosystem& eco,
   (void)metrics_.counter("dnsboot_monitor_journal_replayed_total");
   (void)metrics_.counter("dnsboot_monitor_journal_mismatch_total");
   (void)metrics_.counter("dnsboot_monitor_journal_write_errors_total");
+  (void)metrics_.counter("dnsboot_monitor_snapshot_write_errors_total");
   (void)metrics_.counter("dnsboot_monitor_snapshots_total");
   (void)metrics_.gauge("dnsboot_monitor_zones_tracked");
   (void)metrics_.gauge("dnsboot_monitor_zones_retired");
@@ -232,7 +235,12 @@ void Monitor::arm_snapshot_timer() {
   if (options_.snapshot_every == 0 || options_.state_dir.empty()) return;
   if (network_.now() + options_.snapshot_every >= options_.horizon) return;
   network_.schedule(options_.snapshot_every, [this]() {
-    (void)write_snapshot();
+    // A failed periodic snapshot is not fatal (the journal alone recovers
+    // the run), but it must be visible: it is counted, like journal write
+    // errors.
+    if (!write_snapshot().ok()) {
+      metrics_.counter("dnsboot_monitor_snapshot_write_errors_total").add(1);
+    }
     arm_snapshot_timer();
   });
 }

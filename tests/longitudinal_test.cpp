@@ -15,7 +15,7 @@
 #include "cli.hpp"
 #include "ecosystem/builder.hpp"
 #include "ecosystem/plan.hpp"
-#include "longitudinal/lifecycle.hpp"
+#include "kasp/clock.hpp"
 #include "longitudinal/monitor.hpp"
 
 namespace dnsboot::longitudinal {
@@ -120,6 +120,10 @@ TEST(ZonePhaseTest, BreakageAndDeletion) {
   // But an unbootstrapped zone that never had a DS just stays insecure.
   EXPECT_EQ(next_phase(ZonePhase::kInsecure, finding_insecure(), 0, 3),
             ZonePhase::kInsecure);
+  // A zone that bootstraps and breaks between two probes is first seen
+  // with a bogus chain under a DS: straight to broken_rollover.
+  EXPECT_EQ(next_phase(ZonePhase::kInsecure, finding_broken(), 0, 3),
+            ZonePhase::kBrokenRollover);
 }
 
 TEST(ZonePhaseTest, UnreachableKeepsPhase) {
@@ -558,8 +562,9 @@ TEST(DurationFlagTest, FlagParserDuration) {
 // ---- monitor end-to-end --------------------------------------------------
 
 // A miniature world whose zones actually move: one clean operator with a
-// handful of unsigned zones, all of which the lifecycle walks through
-// bootstrap (and some through breakage/deletion) inside a short horizon.
+// handful of unsigned zones, all of which the KASP policy clock walks
+// through bootstrap (and some through breakage/deletion) inside a short
+// horizon.
 struct MonitorRunResult {
   std::string journal;
   std::string json;
@@ -570,6 +575,7 @@ struct MonitorRunResult {
   std::uint64_t mismatches = 0;
   std::uint64_t replayed = 0;
   std::uint64_t appended = 0;
+  std::uint64_t snapshot_write_errors = 0;
 };
 
 ecosystem::OperatorProfile tiny_operator() {
@@ -602,23 +608,31 @@ MonitorRunResult run_monitor(const std::string& state_dir) {
   resolver::QueryEngine registry_engine(
       network, net::IpAddress::v4({192, 0, 2, 252}), {});
   resolver::DelegationResolver registry_resolver(registry_engine, eco.hints);
-  LifecycleOptions lifecycle_options;
-  lifecycle_options.seed = 7;
-  lifecycle_options.horizon = options.horizon;
-  lifecycle_options.participate_fraction = 1.0;
-  lifecycle_options.break_fraction = 0.3;
-  lifecycle_options.delete_fraction = 0.3;
-  lifecycle_options.ds_latency = net::SimTime{4} * 3600 * net::kSecond;
-  LifecycleDriver lifecycle(network, registry_engine, registry_resolver, eco,
-                            lifecycle_options);
-  EXPECT_GT(lifecycle.events().size(), 10u);
-  Monitor monitor(network, eco, options, &lifecycle);
+  // Every zone bootstraps; after that 30 % botch a rollover (premature DS
+  // swap, bogus until repaired) and 30 % unsign via the delete sentinel.
+  kasp::KaspOptions kasp_options;
+  kasp_options.seed = 7;
+  kasp_options.horizon = options.horizon;
+  kasp_options.participate_fraction = 1.0;
+  kasp_options.zsk_roll_fraction = 0;
+  kasp_options.ksk_roll_fraction = 0;
+  kasp_options.algorithm_roll_fraction = 0;
+  kasp_options.premature_ds_fraction = 0.3;
+  kasp_options.stale_rrsig_fraction = 0;
+  kasp_options.cds_stray_fraction = 0;
+  kasp_options.algorithm_broken_fraction = 0;
+  kasp_options.unsign_fraction = 0.3;
+  kasp_options.ds_latency = net::SimTime{4} * 3600 * net::kSecond;
+  kasp::PolicyClock motion(network, registry_engine, registry_resolver, eco,
+                           kasp_options);
+  EXPECT_GT(motion.steps().size(), 10u);
+  Monitor monitor(network, eco, options, &motion);
 
   Status started = monitor.start();
   EXPECT_TRUE(started.ok()) << (started.ok() ? ""
                                              : started.error().to_string());
   monitor.run();
-  EXPECT_EQ(lifecycle.failed(), 0u);
+  EXPECT_EQ(motion.failed(), 0u);
 
   MonitorRunResult result;
   result.journal = read_file(state_dir + "/journal.log");
@@ -630,6 +644,10 @@ MonitorRunResult run_monitor(const std::string& state_dir) {
   result.mismatches = monitor.journal_mismatches();
   result.replayed = monitor.journal_replayed();
   result.appended = monitor.journal_appended();
+  result.snapshot_write_errors =
+      monitor.metrics()
+          .counter("dnsboot_monitor_snapshot_write_errors_total")
+          .get();
   return result;
 }
 
@@ -690,6 +708,21 @@ TEST(MonitorTest, RestartOverTruncatedJournalConverges) {
   ASSERT_TRUE(meta.ok());
   std::filesystem::remove_all(dir_full);
   std::filesystem::remove_all(dir_crash);
+}
+
+TEST(MonitorTest, SnapshotWriteErrorsAreCountedAndNotFatal) {
+  const std::string dir = make_temp_dir();
+  // A directory where the snapshot's temporary file goes: fopen fails with
+  // EISDIR, whatever the caller's privileges.
+  ASSERT_TRUE(std::filesystem::create_directory(dir + "/snapshot.dnsboot.tmp"));
+  MonitorRunResult run = run_monitor(dir);
+  EXPECT_GT(run.snapshot_write_errors, 0u);
+  // The run itself completes: every transition still journaled.
+  EXPECT_GT(run.transitions, 10u);
+  EXPECT_EQ(run.mismatches, 0u);
+  EXPECT_EQ(run.appended, run.transitions);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot.dnsboot"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
