@@ -3,11 +3,12 @@
 // jittered backoff, circuit breakers, retry budget, requeue pass).
 // Reported per run: completion rate by scan quality, wasted sends, fail-fast
 // rejections, and the per-fault-class drop counters from the simulator.
-#include "survey_common.hpp"
-
 #include <chrono>
+#include <cstdio>
 
+#include "analysis/survey.hpp"
 #include "bench_json.hpp"
+#include "ecosystem/builder.hpp"
 #include "ecosystem/chaos.hpp"
 
 namespace {

@@ -1,7 +1,8 @@
 // Machine-readable bench output. Every survey-style bench writes a
 // BENCH_<name>.json next to its human-readable tables so the repo's perf
 // trajectory can be tracked (and gated in CI) without log scraping. The
-// peak-RSS helpers the footprint benches share live here too.
+// peak-RSS helpers the footprint benches share, and the DNSBOOT_SCALE_DENOM
+// reader, live here too.
 //
 // The builder is append-only and supports flat fields plus one level of
 // array-of-objects nesting — all the bench schema needs. Keys are emitted in
@@ -10,6 +11,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,15 @@
 #include "obs/metrics.hpp"
 
 namespace dnsboot::bench {
+
+// World scale from DNSBOOT_SCALE_DENOM: 1/denom, default 1/4000 (a 71.9 k-zone
+// population).
+inline double scale_from_env() {
+  const char* env = std::getenv("DNSBOOT_SCALE_DENOM");
+  if (env == nullptr) return 1.0 / 4000;
+  double denom = std::atof(env);
+  return denom > 0 ? 1.0 / denom : 1.0 / 4000;
+}
 
 // Reset the kernel's peak-RSS watermark to the current RSS. Returns false
 // when /proc/self/clear_refs is unavailable (non-Linux, restricted

@@ -165,7 +165,7 @@ void BM_ValidateRRset(benchmark::State& state) {
 BENCHMARK(BM_ValidateRRset);
 
 void BM_ServerHandleQuery(benchmark::State& state) {
-  server::AuthServer auth(server::ServerConfig{"bench", {}, 0, 0, {}}, 7);
+  server::AuthServer auth(server::ServerConfig{.id = "bench"}, 7);
   // Serve many zones so zone_for's suffix walk is realistic.
   for (int i = 0; i < 10000; ++i) {
     auto zone = std::make_shared<dns::Zone>(

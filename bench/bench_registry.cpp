@@ -3,8 +3,10 @@
 // to candidates without DS and stops at the first failed check. This bench
 // runs the registry CDS processor over a simulated TLD and reports the
 // action mix and the query cost versus the research scanner.
-#include "survey_common.hpp"
+#include <cstdio>
 
+#include "analysis/survey.hpp"
+#include "ecosystem/builder.hpp"
 #include "registry/cds_processor.hpp"
 
 int main() {

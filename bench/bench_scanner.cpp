@@ -1,11 +1,12 @@
 // Scan-feasibility measurements (paper §3 + Appendix D) and the design
 // ablations called out in DESIGN.md §4: per-NS query volume, the Cloudflare
 // pool-sampling policy, and the 50 qps/NS rate limit's effect on scan time.
-#include "survey_common.hpp"
-
 #include <chrono>
+#include <cstdio>
 
+#include "analysis/survey.hpp"
 #include "bench_json.hpp"
+#include "ecosystem/builder.hpp"
 #include "scanner/targets.hpp"
 
 namespace {

@@ -1,7 +1,7 @@
 // measurement_study — a miniature end-to-end reproduction of the paper:
 // build the calibrated synthetic Internet at 1/100000 scale, run the YoDNS-
 // style scan, and print the study's key findings. The full-size version of
-// every table lives in bench/ (one binary per table/figure).
+// every table and figure is bench/bench_paper.
 #include <cstdio>
 
 #include "analysis/survey.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/trust.hpp"
 
@@ -64,23 +65,21 @@ SurveyRunResult run_survey(
   // order, which differs between the simulator and real sockets (and, over
   // the wire, between runs). Re-sorting into target order makes the report
   // a pure function of the observations themselves, so a wire survey is
-  // byte-identical to the simulated one for the same seed.
+  // byte-identical to the simulated one for the same seed. Each observation
+  // is looked up once; sorting (rank, arrival index) pairs is a stable sort
+  // by rank.
   std::unordered_map<std::string, std::size_t> target_rank;
   target_rank.reserve(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
     target_rank.emplace(targets[i].to_text(), i);
   }
-  std::stable_sort(observations.begin(), observations.end(),
-                   [&target_rank](const scanner::ZoneObservation& a,
-                                  const scanner::ZoneObservation& b) {
-                     auto ra = target_rank.find(a.zone.to_text());
-                     auto rb = target_rank.find(b.zone.to_text());
-                     std::size_t ka =
-                         ra != target_rank.end() ? ra->second : SIZE_MAX;
-                     std::size_t kb =
-                         rb != target_rank.end() ? rb->second : SIZE_MAX;
-                     return ka < kb;
-                   });
+  std::vector<std::pair<std::size_t, std::size_t>> order;
+  order.reserve(observations.size());
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    auto it = target_rank.find(observations[i].zone.to_text());
+    order.emplace_back(it != target_rank.end() ? it->second : SIZE_MAX, i);
+  }
+  std::sort(order.begin(), order.end());
 
   // Analysis phase: validate + classify offline, as the paper does from its
   // stored DNS messages.
@@ -89,8 +88,8 @@ SurveyRunResult run_survey(
   OperatorIdentifier operators{
       std::map<std::string, std::string>(ns_domain_to_operator)};
   SurveyAggregator aggregator;
-  for (const auto& obs : observations) {
-    ZoneReport report = analyze_zone(obs, trust, operators);
+  for (const auto& [rank, i] : order) {
+    ZoneReport report = analyze_zone(observations[i], trust, operators);
     aggregator.add(report);
     if (options.keep_reports) result.reports.push_back(std::move(report));
   }

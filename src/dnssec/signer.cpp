@@ -9,13 +9,8 @@
 namespace dnsboot::dnssec {
 
 ZoneKeys ZoneKeys::generate(Rng& rng) {
-  ZoneKeys keys{crypto::KeyPair::generate(rng, crypto::kKskFlags),
-                crypto::KeyPair::generate(rng, crypto::kZskFlags),
-                {},
-                {},
-                {},
-                {}};
-  return keys;
+  return ZoneKeys{.ksk = crypto::KeyPair::generate(rng, crypto::kKskFlags),
+                  .zsk = crypto::KeyPair::generate(rng, crypto::kZskFlags)};
 }
 
 dns::DnskeyRdata make_dnskey(const crypto::KeyPair& key) {

@@ -3,6 +3,9 @@
 // classifier recovers exactly what the generator planted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/report_io.hpp"
 #include "analysis/survey.hpp"
 #include "ecosystem/builder.hpp"
 #include "net/simnet.hpp"
@@ -75,7 +78,10 @@ struct SurveyFixture {
   SurveyRunResult result;
 };
 
-std::unique_ptr<SurveyFixture> run_world(std::vector<OperatorProfile> ops) {
+// Builds the world from `ops` and surveys it; `reverse_targets` scans the
+// same targets in reverse order (eco.scan_targets holds the order scanned).
+std::unique_ptr<SurveyFixture> run_world(std::vector<OperatorProfile> ops,
+                                         bool reverse_targets = false) {
   auto fixture = std::make_unique<SurveyFixture>();
   fixture->network.set_default_link(
       net::LinkModel{2 * net::kMillisecond, net::kMillisecond, 0.0});
@@ -85,6 +91,10 @@ std::unique_ptr<SurveyFixture> run_world(std::vector<OperatorProfile> ops) {
   config.inject_pathologies = false;
   EcosystemBuilder builder(fixture->network, config);
   fixture->eco = builder.build();
+  if (reverse_targets) {
+    std::reverse(fixture->eco.scan_targets.begin(),
+                 fixture->eco.scan_targets.end());
+  }
   SurveyRunOptions options;
   options.engine.per_server_qps = 5000;
   options.keep_reports = true;
@@ -142,6 +152,20 @@ TEST(SurveyRoundTrip, PerZoneStateMatchesTruth) {
     }
     EXPECT_EQ(report.operator_name, truth.operator_name);
   }
+}
+
+// Reports come out in target order whatever order the scan completes in, and
+// the aggregate does not depend on that order.
+TEST(SurveyRoundTrip, ReportsFollowTargetOrder) {
+  auto forward = run_world({signal_operator()});
+  auto reversed = run_world({signal_operator()}, /*reverse_targets=*/true);
+  const auto& targets = reversed->eco.scan_targets;
+  const auto& reports = reversed->result.reports;
+  ASSERT_EQ(reports.size(), targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(reports[i].zone.to_text(), targets[i].to_text()) << i;
+  }
+  EXPECT_EQ(survey_to_json(reversed->result), survey_to_json(forward->result));
 }
 
 TEST(SurveyRoundTrip, FunnelMatchesTruth) {

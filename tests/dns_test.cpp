@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 
 #include "base/strings.hpp"
 #include "dns/message.hpp"
@@ -230,6 +232,16 @@ struct RdataCase {
   RRType type;
   const char* text;
 };
+
+// gtest's default printer dumps every byte of a case into its test name,
+// including the uninitialised padding after `type`. Print the same bytes
+// with the padding zeroed, so that each case keeps one name from run to run.
+void PrintTo(const RdataCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(RdataCase)] = {};
+  std::memcpy(bytes, &c.type, sizeof c.type);
+  std::memcpy(bytes + offsetof(RdataCase, text), &c.text, sizeof c.text);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class RdataTextWireRoundTrip : public ::testing::TestWithParam<RdataCase> {};
 
