@@ -11,8 +11,6 @@
 //                          [--fail-if-slower]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "analysis/report_io.hpp"
@@ -21,6 +19,7 @@
 #include "ecosystem/builder.hpp"
 #include "ecosystem/chaos.hpp"
 #include "obs/stats.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -53,15 +52,20 @@ struct RunMeasurement {
   }
 };
 
-std::string strip_last_column(const std::string& csv) {
+// Drops the under_attack column. It is the CSV's second-to-last column:
+// key_state rides after it and must still match.
+std::string strip_under_attack_column(const std::string& csv) {
   std::string out;
   std::size_t start = 0;
   while (start < csv.size()) {
     std::size_t end = csv.find('\n', start);
     if (end == std::string::npos) end = csv.size();
     std::string line = csv.substr(start, end - start);
-    std::size_t comma = line.rfind(',');
-    if (comma != std::string::npos) line.resize(comma);
+    std::size_t last = line.rfind(',');
+    if (last != std::string::npos && last > 0) {
+      std::size_t before = line.rfind(',', last - 1);
+      if (before != std::string::npos) line.erase(before, last - before);
+    }
     out += line;
     out += '\n';
     start = end + 1;
@@ -104,7 +108,8 @@ RunMeasurement run_once(double eco_scale, std::uint64_t seed,
           result.metrics->find_histogram("dnsboot_engine_rtt_usec")) {
     m.rtt_usec = *rtt;
   }
-  m.report_csv = strip_last_column(analysis::reports_to_csv(result.reports));
+  m.report_csv =
+      strip_under_attack_column(analysis::reports_to_csv(result.reports));
   m.injected = network.attack_stats().total_injected();
   obs::DefenseStats defense(*result.metrics);
   m.forged_rejected = defense.forged_rejected;
@@ -158,28 +163,18 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool fail_if_slower = false;
 
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = std::atof(need_value("--scale"));
-      if (scale <= 0) return 2;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need_value("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need_value("--json");
-    } else if (std::strcmp(argv[i], "--fail-if-slower") == 0) {
-      fail_if_slower = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cli::FlagParser parser(
+      "bench_adversarial — survey throughput and correctness under the "
+      "adversarial chaos preset");
+  parser.value("--scale", &scale,
+               "population relative to 1/40000 of the paper's", 1e-9);
+  parser.value("--seed", &seed, "ecosystem seed");
+  parser.value("--json", &json_path, "PATH", "bench JSON output path");
+  parser.flag("--fail-if-slower", &fail_if_slower,
+              "exit non-zero when the attacked run is > 4x slower than "
+              "the clean one");
+  if (!parser.parse(argc, argv)) return 2;
+  if (parser.help_requested()) return 0;
 
   const double eco_scale = scale / kReferenceDenom;
   std::printf(

@@ -19,13 +19,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "analysis/parallel.hpp"
 #include "analysis/report_io.hpp"
 #include "base/strings.hpp"
 #include "bench_json.hpp"
 #include "ecosystem/plan.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -110,7 +110,7 @@ RunMeasurement run_once(const ecosystem::EcosystemPlan& plan,
   return m;
 }
 
-std::vector<std::size_t> parse_thread_list(const char* arg) {
+std::vector<std::size_t> parse_thread_list(const std::string& arg) {
   std::vector<std::size_t> out;
   for (const std::string& part : split(arg, ',')) {
     int v = std::atoi(part.c_str());
@@ -123,43 +123,34 @@ std::vector<std::size_t> parse_thread_list(const char* arg) {
 
 int main(int argc, char** argv) {
   double scale = 1.0;
-  std::vector<std::size_t> thread_counts{1, 8};
-  std::size_t shards = 8;
+  std::string threads_arg = "1,8";
+  std::uint64_t shards = 8;
   std::uint64_t seed = 1;
   std::string json_path;
   bool fail_if_slower = false;
   double max_bytes_per_zone = 0;  // 0 = gate off
 
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = std::atof(need_value("--scale"));
-      if (scale <= 0) return 2;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      thread_counts = parse_thread_list(need_value("--threads"));
-      if (thread_counts.empty()) return 2;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<std::size_t>(std::atoi(need_value("--shards")));
-      if (shards < 1) return 2;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need_value("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need_value("--json");
-    } else if (std::strcmp(argv[i], "--fail-if-slower") == 0) {
-      fail_if_slower = true;
-    } else if (std::strcmp(argv[i], "--max-bytes-per-zone") == 0) {
-      max_bytes_per_zone = std::atof(need_value("--max-bytes-per-zone"));
-      if (max_bytes_per_zone <= 0) return 2;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
+  cli::FlagParser parser(
+      "bench_throughput — zones/s, events/s and bytes/zone of the sharded "
+      "survey executor");
+  parser.value("--scale", &scale,
+               "population relative to 1/40000 of the paper's", 1e-9);
+  parser.value("--threads", &threads_arg, "LIST",
+               "comma-separated thread counts to measure");
+  parser.value("--shards", &shards, "zone shards", 1);
+  parser.value("--seed", &seed, "ecosystem seed");
+  parser.value("--json", &json_path, "PATH", "bench JSON output path");
+  parser.flag("--fail-if-slower", &fail_if_slower,
+              "exit non-zero when the last run's zones/s < the first's");
+  parser.value("--max-bytes-per-zone", &max_bytes_per_zone,
+               "fail when peak RSS / zones exceeds this", 1e-9);
+  if (!parser.parse(argc, argv)) return 2;
+  if (parser.help_requested()) return 0;
+  const std::vector<std::size_t> thread_counts =
+      parse_thread_list(threads_arg);
+  if (thread_counts.empty()) {
+    std::fprintf(stderr, "--threads needs at least one count\n");
+    return 2;
   }
 
   const double eco_scale = scale / kReferenceDenom;

@@ -91,7 +91,6 @@ ShardedSurveyResult run_sharded_survey(const ShardWorldSource& source,
     out.merged.bytes_on_wire += slot.result.bytes_on_wire;
     out.shard_durations.push_back(slot.result.simulated_duration);
   }
-  out.fault_stats = net::FaultStats(*out.merged.metrics);
   out.events_processed =
       out.merged.metrics->counter_value("dnsboot_net_events");
   out.merged.top_by_domains = top_rows_by_domains(out.merged.survey, 20);

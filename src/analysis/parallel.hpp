@@ -75,11 +75,6 @@ struct ShardedSurveyResult {
   // simulated time), and the table rows are recomputed from the merged
   // operator map.
   SurveyRunResult merged;
-  // View over merged.metrics (the per-shard network registries were merged
-  // into it), bound by run_sharded_survey after the merge loop. Anyone who
-  // replaces `merged` wholesale must rebind this view — it points into the
-  // registry `merged` owned at bind time.
-  net::FaultStats fault_stats;
   std::uint64_t events_processed = 0;
   std::vector<net::SimTime> shard_durations;
   std::size_t shards = 0;

@@ -34,8 +34,6 @@ struct WireTransportOptions {
   // SO_REUSEPORT on serving sockets: N worker threads each run their own
   // transport bound to the same real endpoints; the kernel spreads flows.
   bool reuse_port = false;
-  // Upper bound for a single blocking poll inside run()/run_forever().
-  SimTime max_poll_wait = 50 * kMillisecond;
   // Accepted-TCP-connection cap per transport. At the cap, accepting a new
   // connection first evicts the oldest-idle accepted connection — a
   // slowloris herd cannot pin the table while live clients knock.
@@ -186,9 +184,9 @@ class WireTransport : public Transport {
   void arm_idle_sweep();
 
   // Threading contract (enforced under DNSBOOT_VERIFY): everything below is
-  // owned by the thread that calls run()/run_forever()/poll_once(). A
-  // transport may be *built* on one thread and *run* on another — that
-  // handoff is the run_forever() entry, which re-tags the metrics counters
+  // owned by the thread that calls run()/run_forever(). A transport may be
+  // *built* on one thread and *run* on another — that handoff is the
+  // run_forever() entry, which re-tags the metrics counters
   // (MetricsRegistry::verify_reset_writers) and is where loop ownership is
   // first asserted. stop_ is the one cross-thread flag; the eventfd wakeup
   // inside EventLoop provides the ordering.

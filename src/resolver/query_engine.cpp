@@ -186,10 +186,13 @@ void QueryEngine::send_attempt(std::uint16_t id) {
   // Pace sends per destination: the next slot is 1/qps after the previous.
   net::SimTime interval =
       static_cast<net::SimTime>(1e6 / options_.per_server_qps);
+  // One clock read: on a real-time transport a second read can pass
+  // send_at, and the unsigned delay would underflow.
+  const net::SimTime now = network_.now();
   net::SimTime& next_free = next_free_[p.server];
-  net::SimTime send_at = std::max(network_.now() + backoff, next_free);
+  net::SimTime send_at = std::max(now + backoff, next_free);
   next_free = send_at + interval;
-  net::SimTime delay = send_at - network_.now();
+  net::SimTime delay = send_at - now;
 
   dns::Message query = dns::Message::make_query(id, p.qname, p.qtype);
   Bytes wire = query.encode();

@@ -142,8 +142,8 @@ TEST(ParallelSurveyTest, HostileChaosMergesDeterministically) {
 
   // Fault-class counters live outside the JSON report; they must merge
   // deterministically too, and a hostile world must actually exercise them.
-  const net::FaultStats& a = one.fault_stats;
-  const net::FaultStats& b = eight.fault_stats;
+  const net::FaultStats a(*one.merged.metrics);
+  const net::FaultStats b(*eight.merged.metrics);
   EXPECT_EQ(a.blackholed, b.blackholed);
   EXPECT_EQ(a.flap_dropped, b.flap_dropped);
   EXPECT_EQ(a.burst_dropped, b.burst_dropped);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,9 +88,7 @@ TEST(EventLoop, CancelPreventsFiring) {
   EXPECT_FALSE(fired);
 }
 
-TEST(EventLoop, LongDelayCascadesThroughWheelLevels) {
-  // 400 ms of ticks crosses the 256-slot level-0 window (~262 ms), so this
-  // timer parks in level 1 and must cascade back down before firing.
+TEST(EventLoop, LongDelayFiresAfterItsDeadline) {
   EventLoop loop;
   bool fired = false;
   loop.schedule(400 * kMillisecond, [&] { fired = true; });
@@ -101,20 +100,52 @@ TEST(EventLoop, LongDelayCascadesThroughWheelLevels) {
   EXPECT_GE(loop.now() - start, 390 * kMillisecond);
 }
 
-TEST(EventLoop, FarHorizonTimerParksInOverflow) {
-  // 60 days of ticks exceeds the wheel's ~51-day horizon (2^32 ticks of
-  // 2^10 usec); before the overflow list this delta wrapped the level index
-  // and the timer fired absurdly early. It must park, not fire.
+TEST(EventLoop, OnePollSleepsUntilATimerPastTheFirstWindow) {
+  // One poll with a generous max_wait sleeps exactly to the deadline: no
+  // intermediate wake-up short of the timer, however far out it is.
+  EventLoop loop;
+  ASSERT_TRUE(loop.error().empty());
+  bool fired = false;
+  loop.schedule(300 * kMillisecond, [&] { fired = true; });
+  SimTime start = loop.now();
+  EXPECT_EQ(loop.poll(10 * kSecond), 1u);
+  EXPECT_TRUE(fired);
+  EXPECT_GE(loop.now() - start, 300 * kMillisecond);
+  EXPECT_EQ(loop.live_timers(), 0u);
+}
+
+TEST(EventLoop, ZeroDelayTimerFromAHandlerWaitsForTheNextPoll) {
+  // A handler that reschedules itself at delay 0 (the query engine's and
+  // the monitor's pattern) runs once per poll, never spinning in one pass.
+  EventLoop loop;
+  ASSERT_TRUE(loop.error().empty());
+  int runs = 0;
+  std::function<void()> tick = [&] {
+    ++runs;
+    loop.schedule(0, tick);
+  };
+  loop.schedule(0, tick);
+  EXPECT_EQ(loop.poll(0), 1u);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(loop.live_timers(), 1u);
+  EXPECT_EQ(loop.poll(0), 1u);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(loop.live_timers(), 1u);
+}
+
+TEST(EventLoop, FarHorizonTimerNeitherFiresNorIsLost) {
+  // 60 days is far past any bounded timer structure's horizon (the old
+  // wheel's was ~51 days, and wrapping it fired the timer decades early).
+  // Deadlines are absolute, so the timer must simply stay pending.
   EventLoop loop;
   ASSERT_TRUE(loop.error().empty());
   bool fired = false;
   const SimTime sixty_days = SimTime{60} * 86400 * kSecond;
   std::uint64_t id = loop.schedule(sixty_days, [&] { fired = true; });
-  EXPECT_EQ(loop.overflow_timers(), 1u);
   EXPECT_EQ(loop.live_timers(), 1u);
 
-  // Polling advances the wheel; the parked timer must neither fire nor get
-  // lost, and near timers keep working around it.
+  // Polling moves time on; the far timer must neither fire nor get lost,
+  // and near timers keep working around it.
   bool near_fired = false;
   loop.schedule(2 * kMillisecond, [&] { near_fired = true; });
   SimTime start = loop.now();
@@ -123,21 +154,11 @@ TEST(EventLoop, FarHorizonTimerParksInOverflow) {
   }
   EXPECT_TRUE(near_fired);
   EXPECT_FALSE(fired);
-  EXPECT_EQ(loop.overflow_timers(), 1u);
   EXPECT_EQ(loop.live_timers(), 1u);
 
-  // Cancel-while-parked: lazily deregistered, never fires.
+  // Cancel while pending: lazily deregistered, never fires.
   loop.cancel(id);
   EXPECT_EQ(loop.live_timers(), 0u);
-}
-
-TEST(EventLoop, JustBelowHorizonStaysInTheWheel) {
-  EventLoop loop;
-  ASSERT_TRUE(loop.error().empty());
-  // 40 days (~3.4e9 ticks) fits under the 2^32-tick horizon: top level.
-  loop.schedule(SimTime{40} * 86400 * kSecond, [] {});
-  EXPECT_EQ(loop.overflow_timers(), 0u);
-  EXPECT_EQ(loop.live_timers(), 1u);
 }
 
 // --- TcpFrameReassembler -------------------------------------------------

@@ -7,7 +7,7 @@
 //                  [--no-pathologies] [--no-signal-scan] [--lint] [--quiet]
 //                  [--chaos off|mild|hostile|adversarial] [--chaos-seed S]
 //                  [--scan-attempts N] [--threads N] [--shards N]
-//                  [--bench-json FILE] [--metrics-json FILE]
+//                  [--metrics-json FILE]
 //                  [--trace FILE] [--trace-sample N]
 //
 // With --chaos, the built world gets a deterministic fault schedule (lossy,
@@ -32,7 +32,6 @@
 #include "analysis/report_io.hpp"
 #include "analysis/survey.hpp"
 #include "base/strings.hpp"
-#include "bench/bench_json.hpp"
 #include "cli.hpp"
 #include "ecosystem/chaos.hpp"
 #include "ecosystem/plan.hpp"
@@ -60,7 +59,6 @@ struct CliOptions {
   int scan_attempts = 0;  // 0 = derived from the chaos preset
   std::size_t threads = 1;
   std::size_t shards = 0;  // 0 = auto: 1 single-threaded, else 8
-  std::string bench_json_path;
   std::string wire;  // HOST:PORT of a dnsboot-serve base endpoint
   double qps = 0;    // 0 = engine default (the paper's 50 qps per NS)
   std::uint64_t trace_sample = 64;  // trace every Nth candidate span
@@ -98,8 +96,6 @@ cli::FlagParser make_parser(CliOptions* options) {
   parser.value("--threads", &options->threads, "scan worker threads", 1);
   parser.value("--shards", &options->shards,
                "zone shards (default: 1, or 8 with --threads)", 1);
-  parser.value("--bench-json", &options->bench_json_path, "FILE",
-               "write throughput metrics as bench JSON");
   parser.value("--wire", &options->wire, "HOST:PORT",
                "scan over real sockets against dnsboot-serve at this base "
                "endpoint");
@@ -326,12 +322,8 @@ int main(int argc, char** argv) {
     sharded.merged = analysis::run_survey(
         transport, first_world->hints, first_world->targets,
         first_world->ns_domain_to_operator, first_world->now, run_options);
-    // `merged` was replaced wholesale, so the fault view must be rebound to
-    // the registry the new result owns (see ShardedSurveyResult).
-    sharded.fault_stats = net::FaultStats(*sharded.merged.metrics);
     sharded.shards = 1;
     sharded.threads = 1;
-    sharded.events_processed = transport.datagrams_delivered();
     if (!transport.error().empty()) {
       std::fprintf(stderr, "wire transport: %s\n", transport.error().c_str());
       return 1;
@@ -421,50 +413,11 @@ int main(int argc, char** argv) {
           sharded.shards, sharded.threads, wall_sec, zones_per_sec,
           simulated_sec, wall_sec > 0 ? simulated_sec / wall_sec : 0.0);
     }
-    // Volume lives here (and in --bench-json), not in the JSON report,
-    // which stays transport-independent.
+    // Volume lives here, not in the JSON report, which stays
+    // transport-independent.
     std::printf("traffic: %s datagrams, %s bytes\n",
                 format_count(result.datagrams).c_str(),
                 format_count(result.bytes_on_wire).c_str());
-  }
-
-  if (!options.bench_json_path.empty()) {
-    const double wall_sec = wall_ms / 1000.0;
-    bench::BenchJson bench_json("survey");
-    bench_json.add("threads", static_cast<std::uint64_t>(sharded.threads))
-        .add("shards", static_cast<std::uint64_t>(sharded.shards))
-        .add("seed", options.seed)
-        .add("scale_denom", options.scale_denom)
-        .add("chaos", options.chaos)
-        .add("transport", wire_base.has_value() ? "wire" : "sim")
-        .add("datagrams", result.datagrams)
-        .add("bytes_on_wire", result.bytes_on_wire)
-        .add("zones", result.survey.total)
-        .add("wall_ms", wall_ms)
-        .add("zones_per_sec",
-             wall_sec > 0
-                 ? static_cast<double>(result.survey.total) / wall_sec
-                 : 0.0)
-        .add("events_per_sec",
-             wall_sec > 0
-                 ? static_cast<double>(sharded.events_processed) / wall_sec
-                 : 0.0)
-        .add("queries", result.engine_stats.queries)
-        .add("simulated_sec",
-             result.simulated_duration / static_cast<double>(net::kSecond));
-    if (const obs::Histogram* rtt =
-            result.metrics->find_histogram("dnsboot_engine_rtt_usec")) {
-      bench_json.add_histogram("rtt_usec", *rtt);
-    }
-    if (const obs::Histogram* zone =
-            result.metrics->find_histogram("dnsboot_scanner_zone_usec")) {
-      bench_json.add_histogram("zone_usec", *zone);
-    }
-    if (!bench_json.write(options.bench_json_path)) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   options.bench_json_path.c_str());
-      return 1;
-    }
   }
 
   if (!options.output.json_path.empty()) {
