@@ -96,7 +96,7 @@ bool cds_matches_keys(const dns::Name& zone, const dns::Rdata& rdata,
 
 CdsAnalysis analyze_cds(const scanner::ZoneObservation& obs,
                         const std::vector<dns::DnskeyRdata>& zone_keys,
-                        const dns::Name& zone, const TrustContext& trust) {
+                        const dns::Name& zone, TrustContext& trust) {
   CdsAnalysis out;
   auto cds_probes = obs.probes_of(dns::RRType::kCDS);
   auto cdnskey_probes = obs.probes_of(dns::RRType::kCDNSKEY);
@@ -135,7 +135,7 @@ CdsAnalysis analyze_cds(const scanner::ZoneObservation& obs,
     if (probe != nullptr) {
       auto v = dnssec::verify_rrset(probe->rrset.rrset,
                                     probe->rrset.signatures, zone_keys, zone,
-                                    trust.now());
+                                    trust.now(), trust.memo());
       out.rrsig_valid = v.valid;
     }
   }
@@ -234,7 +234,7 @@ bool signal_has_answer(const scanner::SignalObservation& signal) {
 // Validate one signaling zone: chain from its TLD down to the CDS RRset at
 // the signaling name.
 bool signal_chain_valid(const scanner::SignalObservation& signal,
-                        const TrustContext& trust) {
+                        TrustContext& trust) {
   // DS for the signaling zone at its parent, authenticated via the TLD keys.
   if (!trust.validate_parent_ds(signal.parent, signal.parent_ds)) return false;
   // Signaling-zone apex DNSKEY chained through that DS.
@@ -248,7 +248,7 @@ bool signal_chain_valid(const scanner::SignalObservation& signal,
   if (dnskey_probe == nullptr) return false;
   auto chain = dnssec::validate_dnskey_rrset(
       signal.signaling_zone, dnskey_probe->rrset,
-      ds_rdatas_of(signal.parent_ds.rrset), trust.now());
+      ds_rdatas_of(signal.parent_ds.rrset), trust.now(), trust.memo());
   if (!chain.valid) return false;
   // Every answered signal CDS/CDNSKEY RRset must carry a valid signature.
   auto keys = dnskeys_of(dnskey_probe->rrset.rrset);
@@ -257,7 +257,8 @@ bool signal_chain_valid(const scanner::SignalObservation& signal,
     for (const auto& probe : *probes) {
       if (probe.outcome != RRsetProbe::Outcome::kAnswer) continue;
       auto v = dnssec::verify_rrset(probe.rrset.rrset, probe.rrset.signatures,
-                                    keys, signal.signaling_zone, trust.now());
+                                    keys, signal.signaling_zone, trust.now(),
+                                    trust.memo());
       if (!v.valid) return false;
     }
   }
@@ -333,7 +334,7 @@ std::string to_string(AbStatus status) {
 }
 
 ZoneReport analyze_zone(const scanner::ZoneObservation& obs,
-                        const TrustContext& trust,
+                        TrustContext& trust,
                         const OperatorIdentifier& operators) {
   ZoneReport report;
   report.zone = obs.zone;
@@ -386,6 +387,7 @@ ZoneReport analyze_zone(const scanner::ZoneObservation& obs,
   dnssec::ZoneObservationForValidation validation;
   validation.apex = obs.zone;
   validation.now = trust.now();
+  validation.memo = trust.memo();
   validation.parent_secure = trust.tld_secure(obs.tld);
   report.parent_ds_authentic =
       trust.validate_parent_ds(obs.tld, obs.parent_ds);

@@ -135,7 +135,7 @@ struct ZoneReport {
 
 // Run the complete analysis for one observation.
 ZoneReport analyze_zone(const scanner::ZoneObservation& observation,
-                        const TrustContext& trust,
+                        TrustContext& trust,
                         const OperatorIdentifier& operators);
 
 }  // namespace dnsboot::analysis

@@ -1,16 +1,45 @@
 #include "dnssec/validator.hpp"
 
+#include <cstring>
+
 #include "crypto/keys.hpp"
+#include "crypto/sha2.hpp"
 #include "dnssec/canonical.hpp"
 #include "dnssec/signer.hpp"
 
 namespace dnsboot::dnssec {
 
+std::size_t SignatureMemo::DigestHash::operator()(const Digest& digest) const {
+  std::size_t hash = 0;
+  std::memcpy(&hash, digest.data(), sizeof(hash));
+  return hash;
+}
+
+bool SignatureMemo::verify(BytesView public_key, BytesView message,
+                           BytesView signature) {
+  // The size checks keep the concatenated key unambiguous.
+  if (public_key.size() != crypto::kEd25519PublicKeySize ||
+      signature.size() != crypto::kEd25519SignatureSize) {
+    return false;
+  }
+  crypto::Sha256 sha;
+  sha.update(public_key);
+  sha.update(signature);
+  sha.update(message);
+  const Digest digest = sha.finish();
+  if (auto it = results_.find(digest); it != results_.end()) return it->second;
+  if (results_.size() >= capacity_) results_.clear();
+  const bool valid =
+      crypto::KeyPair::verify_with(public_key, message, signature);
+  results_.emplace(digest, valid);
+  return valid;
+}
+
 RrsetValidation verify_signature(const dns::RRset& rrset,
                                  const dns::RrsigRdata& rrsig,
                                  const dns::DnskeyRdata& dnskey,
                                  const dns::Name& zone_apex,
-                                 std::uint32_t now) {
+                                 std::uint32_t now, SignatureMemo* memo) {
   if (rrsig.type_covered != rrset.type) {
     return RrsetValidation::fail("rrsig.wrong_type_covered");
   }
@@ -44,8 +73,12 @@ RrsetValidation verify_signature(const dns::RRset& rrset,
     return RrsetValidation::fail("rrsig.unsupported_algorithm");
   }
   Bytes input = signature_input(rrset, rrsig);
-  if (!crypto::KeyPair::verify_with(dnskey.public_key, input,
-                                    rrsig.signature)) {
+  const bool verified =
+      memo != nullptr
+          ? memo->verify(dnskey.public_key, input, rrsig.signature)
+          : crypto::KeyPair::verify_with(dnskey.public_key, input,
+                                         rrsig.signature);
+  if (!verified) {
     return RrsetValidation::fail("rrsig.bad_signature");
   }
   return RrsetValidation::ok();
@@ -54,13 +87,15 @@ RrsetValidation verify_signature(const dns::RRset& rrset,
 RrsetValidation verify_rrset(const dns::RRset& rrset,
                              const std::vector<dns::RrsigRdata>& rrsigs,
                              const std::vector<dns::DnskeyRdata>& keys,
-                             const dns::Name& zone_apex, std::uint32_t now) {
+                             const dns::Name& zone_apex, std::uint32_t now,
+                             SignatureMemo* memo) {
   if (rrsigs.empty()) return RrsetValidation::fail("rrsig.missing");
   if (keys.empty()) return RrsetValidation::fail("dnskey.missing");
   RrsetValidation last = RrsetValidation::fail("rrsig.no_matching_key");
   for (const auto& rrsig : rrsigs) {
     for (const auto& key : keys) {
-      RrsetValidation v = verify_signature(rrset, rrsig, key, zone_apex, now);
+      RrsetValidation v =
+          verify_signature(rrset, rrsig, key, zone_apex, now, memo);
       if (v.valid) return v;
       last = v;
     }
@@ -80,7 +115,7 @@ bool ds_matches_dnskey(const dns::Name& owner, const dns::DsRdata& ds,
 RrsetValidation validate_dnskey_rrset(const dns::Name& apex,
                                       const SignedRRset& dnskey_rrset,
                                       const std::vector<dns::DsRdata>& ds_set,
-                                      std::uint32_t now) {
+                                      std::uint32_t now, SignatureMemo* memo) {
   if (dnskey_rrset.rrset.rdatas.empty()) {
     return RrsetValidation::fail("dnskey.missing");
   }
@@ -96,7 +131,7 @@ RrsetValidation validate_dnskey_rrset(const dns::Name& apex,
       if (!ds_matches_dnskey(apex, ds, *key)) continue;
       RrsetValidation v = verify_rrset(dnskey_rrset.rrset,
                                        dnskey_rrset.signatures, {*key}, apex,
-                                       now);
+                                       now, memo);
       if (v.valid) return v;
       last = v;
     }
@@ -173,13 +208,13 @@ ZoneClassification classify_zone(const ZoneObservationForValidation& obs) {
   }
   RrsetValidation self = verify_rrset(obs.dnskey->rrset,
                                       obs.dnskey->signatures, keys, obs.apex,
-                                      obs.now);
+                                      obs.now, obs.memo);
   if (!self.valid) {
     return {ZoneDnssecStatus::kBogus, "dnskey." + self.reason};
   }
   for (const auto& signed_set : obs.data) {
     RrsetValidation v = verify_rrset(signed_set.rrset, signed_set.signatures,
-                                     keys, obs.apex, obs.now);
+                                     keys, obs.apex, obs.now, obs.memo);
     if (!v.valid) {
       return {ZoneDnssecStatus::kBogus, "data." + v.reason};
     }
@@ -195,8 +230,8 @@ ZoneClassification classify_zone(const ZoneObservationForValidation& obs) {
     // paper (all studied TLDs are signed) but handled for completeness.
     return {ZoneDnssecStatus::kSecureIsland, "parent.insecure"};
   }
-  RrsetValidation chained =
-      validate_dnskey_rrset(obs.apex, *obs.dnskey, obs.parent_ds, obs.now);
+  RrsetValidation chained = validate_dnskey_rrset(
+      obs.apex, *obs.dnskey, obs.parent_ds, obs.now, obs.memo);
   if (!chained.valid) {
     return {ZoneDnssecStatus::kBogus, "chain." + chained.reason};
   }

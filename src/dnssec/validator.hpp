@@ -3,8 +3,11 @@
 // §4 (Unsigned / Secure / Bogus / Secure island).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/record.hpp"
@@ -25,19 +28,52 @@ struct RrsetValidation {
   static RrsetValidation fail(std::string why) { return {false, std::move(why)}; }
 };
 
-// Verify one RRSIG over one RRset with one DNSKEY (RFC 4035 §5.3).
+// Memo of Ed25519 verification results, keyed by SHA-256(public key ‖
+// signature ‖ signature input). The verify result is a pure function of
+// those bytes, so both outcomes are cached; every RRSIG/DNSKEY check that
+// depends on anything else (validity window against `now`, signer, key
+// tag, ...) stays outside the memo and runs on every call. Bounded: the
+// memo is cleared when it reaches `capacity` entries. Not thread-safe: one
+// memo per analysis::TrustContext, used by the thread that owns it.
+class SignatureMemo {
+ public:
+  static constexpr std::size_t kDefaultCapacity = 16384;
+
+  explicit SignatureMemo(std::size_t capacity = kDefaultCapacity)
+      : capacity_(capacity) {}
+
+  // KeyPair::verify_with(public_key, message, signature), computed at most
+  // once per distinct input while the entry stays in the memo.
+  bool verify(BytesView public_key, BytesView message, BytesView signature);
+
+  std::size_t size() const { return results_.size(); }
+  std::size_t capacity() const { return capacity_; }
+
+ private:
+  using Digest = std::array<std::uint8_t, 32>;
+  struct DigestHash {
+    std::size_t operator()(const Digest& digest) const;
+  };
+  std::size_t capacity_;
+  std::unordered_map<Digest, bool, DigestHash> results_;
+};
+
+// Verify one RRSIG over one RRset with one DNSKEY (RFC 4035 §5.3). With a
+// memo, only the signature arithmetic is looked up; every other check runs.
 RrsetValidation verify_signature(const dns::RRset& rrset,
                                  const dns::RrsigRdata& rrsig,
                                  const dns::DnskeyRdata& dnskey,
                                  const dns::Name& zone_apex,
-                                 std::uint32_t now);
+                                 std::uint32_t now,
+                                 SignatureMemo* memo = nullptr);
 
 // Verify an RRset against a key set: valid iff at least one (RRSIG, DNSKEY)
 // pair validates. Returns the most informative failure reason otherwise.
 RrsetValidation verify_rrset(const dns::RRset& rrset,
                              const std::vector<dns::RrsigRdata>& rrsigs,
                              const std::vector<dns::DnskeyRdata>& keys,
-                             const dns::Name& zone_apex, std::uint32_t now);
+                             const dns::Name& zone_apex, std::uint32_t now,
+                             SignatureMemo* memo = nullptr);
 
 // Does this DS RDATA commit to this DNSKEY at `owner`?
 bool ds_matches_dnskey(const dns::Name& owner, const dns::DsRdata& ds,
@@ -48,7 +84,8 @@ bool ds_matches_dnskey(const dns::Name& owner, const dns::DsRdata& ds,
 RrsetValidation validate_dnskey_rrset(const dns::Name& apex,
                                       const SignedRRset& dnskey_rrset,
                                       const std::vector<dns::DsRdata>& ds_set,
-                                      std::uint32_t now);
+                                      std::uint32_t now,
+                                      SignatureMemo* memo = nullptr);
 
 // --- NSEC denial proofs (RFC 4035 §5.4) -------------------------------------
 
@@ -86,6 +123,7 @@ struct ZoneObservationForValidation {
   // validate for the zone to count as validly signed.
   std::vector<SignedRRset> data;
   std::uint32_t now = 0;
+  SignatureMemo* memo = nullptr;  // optional, see SignatureMemo
 };
 
 struct ZoneClassification {

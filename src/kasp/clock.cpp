@@ -267,25 +267,30 @@ Result<registry::CdsProcessor*> PolicyClock::processor_for(
   return raw;
 }
 
-void PolicyClock::publish_child_sync(
+bool PolicyClock::publish_child_sync(
     dns::Zone& zone, const dns::Name& zone_name,
     const std::vector<const crypto::KeyPair*>& ksks) {
   zone.remove_rrset(zone_name, dns::RRType::kCDS);
   zone.remove_rrset(zone_name, dns::RRType::kCDNSKEY);
+  bool ok = true;
+  auto add = [&](dns::RRType type, dns::Rdata rdata) {
+    ok = zone.add(dns::ResourceRecord{zone_name, type, dns::RRClass::kIN, 300,
+                                      std::move(rdata)})
+             .ok() &&
+         ok;
+  };
   for (const crypto::KeyPair* ksk : ksks) {
     auto sync = dnssec::make_child_sync_records(zone_name, *ksk);
-    if (!sync.ok()) continue;
-    for (const auto& cds : sync->cds) {
-      (void)zone.add(dns::ResourceRecord{zone_name, dns::RRType::kCDS,
-                                         dns::RRClass::kIN, 300,
-                                         dns::Rdata{cds}});
+    if (!sync.ok()) {
+      ok = false;
+      continue;
     }
+    for (const auto& cds : sync->cds) add(dns::RRType::kCDS, dns::Rdata{cds});
     for (const auto& key : sync->cdnskey) {
-      (void)zone.add(dns::ResourceRecord{zone_name, dns::RRType::kCDNSKEY,
-                                         dns::RRClass::kIN, 300,
-                                         dns::Rdata{key}});
+      add(dns::RRType::kCDNSKEY, dns::Rdata{key});
     }
   }
+  return ok;
 }
 
 bool PolicyClock::install_ds(const dns::Name& zone_name,
@@ -317,8 +322,8 @@ void PolicyClock::apply(const KaspStep& step) {
 
   switch (step.kind) {
     case KaspStep::Kind::kBootstrapSign: {
-      publish_child_sync(*zone, step.zone, {&state.keys.ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone, {&state.keys.ksk});
+      ok = resign(*zone, state) && ok;
       break;
     }
     case KaspStep::Kind::kBootstrapDs: {
@@ -363,9 +368,9 @@ void PolicyClock::apply(const KaspStep& step) {
         ok = false;
         break;
       }
-      publish_child_sync(*zone, step.zone,
-                         {&state.keys.ksk, &*state.successor_ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone,
+                              {&state.keys.ksk, &*state.successor_ksk});
+      ok = resign(*zone, state) && ok;
       ok = install_ds(step.zone, {&state.keys.ksk, &*state.successor_ksk}) &&
            ok;
       break;
@@ -379,8 +384,8 @@ void PolicyClock::apply(const KaspStep& step) {
       state.keys.ksk = *state.successor_ksk;
       state.successor_ksk.reset();
       state.keys.extra_ksks = {retired};
-      publish_child_sync(*zone, step.zone, {&state.keys.ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone, {&state.keys.ksk});
+      ok = resign(*zone, state) && ok;
       break;
     }
     case KaspStep::Kind::kKskRemove: {
@@ -395,9 +400,9 @@ void PolicyClock::apply(const KaspStep& step) {
       state.successor_zsk = next_key(canonical, state, crypto::kZskFlags);
       state.keys.extra_ksks = {*state.successor_ksk};
       state.keys.co_zsks = {*state.successor_zsk};
-      publish_child_sync(*zone, step.zone,
-                         {&state.keys.ksk, &*state.successor_ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone,
+                              {&state.keys.ksk, &*state.successor_ksk});
+      ok = resign(*zone, state) && ok;
       break;
     }
     case KaspStep::Kind::kAlgSubmitDs: {
@@ -422,8 +427,8 @@ void PolicyClock::apply(const KaspStep& step) {
       state.successor_zsk.reset();
       state.keys.extra_ksks = {retired_ksk};
       state.keys.co_zsks = {retired_zsk};
-      publish_child_sync(*zone, step.zone, {&state.keys.ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone, {&state.keys.ksk});
+      ok = resign(*zone, state) && ok;
       break;
     }
     case KaspStep::Kind::kAlgRemove: {
@@ -438,9 +443,9 @@ void PolicyClock::apply(const KaspStep& step) {
       // The registry swapped to the successor's DS, but the successor DNSKEY
       // was never published: bogus until kRepairPrematureDs.
       state.successor_ksk = next_key(canonical, state, crypto::kKskFlags);
-      publish_child_sync(*zone, step.zone,
-                         {&state.keys.ksk, &*state.successor_ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone,
+                              {&state.keys.ksk, &*state.successor_ksk});
+      ok = resign(*zone, state) && ok;
       ok = install_ds(step.zone, {&*state.successor_ksk}) && ok;
       break;
     }
@@ -453,8 +458,8 @@ void PolicyClock::apply(const KaspStep& step) {
       state.keys.ksk = *state.successor_ksk;
       state.successor_ksk.reset();
       state.keys.extra_ksks = {retired};
-      publish_child_sync(*zone, step.zone, {&state.keys.ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone, {&state.keys.ksk});
+      ok = resign(*zone, state) && ok;
       break;
     }
 
@@ -473,13 +478,13 @@ void PolicyClock::apply(const KaspStep& step) {
 
     case KaspStep::Kind::kPublishStrayCds: {
       crypto::KeyPair stray = next_key(canonical, state, crypto::kKskFlags);
-      publish_child_sync(*zone, step.zone, {&state.keys.ksk, &stray});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone, {&state.keys.ksk, &stray});
+      ok = resign(*zone, state) && ok;
       break;
     }
     case KaspStep::Kind::kClearStrayCds: {
-      publish_child_sync(*zone, step.zone, {&state.keys.ksk});
-      ok = resign(*zone, state);
+      ok = publish_child_sync(*zone, step.zone, {&state.keys.ksk});
+      ok = resign(*zone, state) && ok;
       break;
     }
 
@@ -498,13 +503,13 @@ void PolicyClock::apply(const KaspStep& step) {
     case KaspStep::Kind::kPublishDelete: {
       zone->remove_rrset(step.zone, dns::RRType::kCDS);
       zone->remove_rrset(step.zone, dns::RRType::kCDNSKEY);
-      (void)zone->add(dns::ResourceRecord{
+      Status cds = zone->add(dns::ResourceRecord{
           step.zone, dns::RRType::kCDS, dns::RRClass::kIN, 300,
           dns::Rdata{dnssec::cds_delete_sentinel()}});
-      (void)zone->add(dns::ResourceRecord{
+      Status cdnskey = zone->add(dns::ResourceRecord{
           step.zone, dns::RRType::kCDNSKEY, dns::RRClass::kIN, 300,
           dns::Rdata{dnssec::cdnskey_delete_sentinel()}});
-      ok = resign(*zone, state);
+      ok = resign(*zone, state) && cds.ok() && cdnskey.ok();
       break;
     }
     case KaspStep::Kind::kRemoveDs: {

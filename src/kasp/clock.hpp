@@ -131,7 +131,8 @@ class PolicyClock : public longitudinal::WorldMotion {
   std::shared_ptr<dns::Zone> mutable_zone(const dns::Name& zone);
   Result<registry::CdsProcessor*> processor_for(const dns::Name& tld);
   // Replace the CDS/CDNSKEY sets with the child-sync records of `ksks`.
-  void publish_child_sync(dns::Zone& zone, const dns::Name& zone_name,
+  // False when a record could not be made or added.
+  bool publish_child_sync(dns::Zone& zone, const dns::Name& zone_name,
                           const std::vector<const crypto::KeyPair*>& ksks);
   bool install_ds(const dns::Name& zone_name,
                   const std::vector<const crypto::KeyPair*>& ksks);

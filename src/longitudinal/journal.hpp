@@ -53,7 +53,6 @@ class Journal {
 
   std::uint64_t appended() const { return appended_; }
   const std::string& path() const { return path_; }
-  bool is_open() const { return file_ != nullptr; }
   void close();
 
   struct Recovered {

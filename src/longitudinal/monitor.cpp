@@ -173,7 +173,8 @@ void Monitor::finish_batch(std::uint64_t seq) {
   have_infra_ = true;
   batch->scanner.reset();
   if (!trust_.has_value() || infra_.tlds.size() != trust_tld_count_) {
-    trust_.emplace(infra_, eco_.hints.trust_anchor, eco_.now);
+    trust_.emplace(infra_, eco_.hints.trust_anchor, eco_.now,
+                   eco_.scan_targets.size());
     trust_tld_count_ = infra_.tlds.size();
   }
 
@@ -193,7 +194,7 @@ void Monitor::finish_batch(std::uint64_t seq) {
 }
 
 void Monitor::fold_observation(const scanner::ZoneObservation& obs,
-                               const analysis::TrustContext& trust) {
+                               analysis::TrustContext& trust) {
   analysis::ZoneReport report = analysis::analyze_zone(obs, trust, operators_);
   const ProbeFinding finding = reduce_report(report, obs);
   HistoryStore::ProbeOutcome outcome = history_.record_probe(

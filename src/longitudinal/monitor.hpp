@@ -107,7 +107,7 @@ class Monitor {
   void flush_batch();
   void finish_batch(std::uint64_t seq);
   void fold_observation(const scanner::ZoneObservation& obs,
-                        const analysis::TrustContext& trust);
+                        analysis::TrustContext& trust);
   void handle_transition(const Transition& transition);
   void arm_snapshot_timer();
   void refresh_gauges();

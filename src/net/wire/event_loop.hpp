@@ -56,7 +56,6 @@ class EventLoop {
   // handler fires with the ready mask. unwatch() must precede close(fd).
   void watch(int fd, std::uint32_t events, IoHandler handler);
   void unwatch(int fd);
-  std::size_t watched_fds() const { return io_.size(); }
 
   // One reactor pass: wait for io (at most `max_wait`, clipped to the next
   // timer deadline, so one call sleeps exactly until that timer is due),

@@ -26,7 +26,7 @@ namespace dnsboot::obs {
 // One traced unit of work. Times are transport microseconds (simulated time
 // under SimNetwork, wall-derived under WireTransport).
 struct TraceSpan {
-  std::string kind;    // "query" | "zone" | "phase" | "request"
+  std::string kind;    // "query" | "zone" | "phase"
   std::string name;    // qname / zone / phase label
   std::string status;  // outcome: "ok", "timeout", "degraded", ...
   std::string detail;  // free-form context (server address, rcode, ...)

@@ -44,7 +44,7 @@ CsyncProcessor::CsyncProcessor(net::Transport& network,
 
 CsyncOutcome CsyncProcessor::decide(const dns::Name& zone,
                                     const scanner::ZoneObservation& obs,
-                                    const analysis::TrustContext& trust) {
+                                    analysis::TrustContext& trust) {
   CsyncOutcome outcome;
   if (!obs.resolved) {
     outcome.reason = "zone did not resolve";
@@ -80,7 +80,7 @@ CsyncOutcome CsyncProcessor::decide(const dns::Name& zone,
     }
   }
   auto chain = dnssec::validate_dnskey_rrset(zone, dnskey->rrset, parent_ds,
-                                             now_);
+                                             now_, trust.memo());
   if (!chain.valid) {
     outcome.action = CsyncOutcome::Action::kRejected;
     outcome.reason = "DNSKEY chain invalid: " + chain.reason;
@@ -88,7 +88,8 @@ CsyncOutcome CsyncProcessor::decide(const dns::Name& zone,
   }
   auto keys = analysis::dnskeys_of(dnskey->rrset.rrset);
   auto csync_valid = dnssec::verify_rrset(
-      csync->rrset.rrset, csync->rrset.signatures, keys, zone, now_);
+      csync->rrset.rrset, csync->rrset.signatures, keys, zone, now_,
+      trust.memo());
   if (!csync_valid.valid) {
     outcome.action = CsyncOutcome::Action::kRejected;
     outcome.reason = "CSYNC signature invalid: " + csync_valid.reason;
@@ -130,7 +131,7 @@ CsyncOutcome CsyncProcessor::decide(const dns::Name& zone,
     return outcome;
   }
   auto ns_valid = dnssec::verify_rrset(ns->rrset.rrset, ns->rrset.signatures,
-                                       keys, zone, now_);
+                                       keys, zone, now_, trust.memo());
   if (!ns_valid.valid) {
     outcome.action = CsyncOutcome::Action::kRejected;
     outcome.reason = "child NS RRset not validly signed";

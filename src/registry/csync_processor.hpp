@@ -42,7 +42,7 @@ class CsyncProcessor {
  private:
   CsyncOutcome decide(const dns::Name& zone,
                       const scanner::ZoneObservation& obs,
-                      const analysis::TrustContext& trust);
+                      analysis::TrustContext& trust);
 
   net::Transport& network_;
   resolver::QueryEngine& engine_;

@@ -476,28 +476,8 @@ void AuthServer::attach(net::Transport& network,
         network.send(reply);
       });
     };
-    // Request span for sampled queries: receipt → response handed to the
-    // transport (including any fault-gate service delay).
-    const bool traced = tracer_ != nullptr && tracer_->sample();
-    auto trace_request = [this, &network, &query, delay,
-                          received = network.now(),
-                          traced](dns::Rcode rcode) {
-      count_response(rcode);
-      if (!traced) return;
-      obs::TraceSpan span;
-      span.kind = "request";
-      span.name = query->questions.empty()
-                      ? std::string("<no question>")
-                      : query->questions[0].name.to_text() + " " +
-                            dns::to_string(query->questions[0].type);
-      span.detail = config_.id;
-      span.start_usec = received;
-      span.end_usec = network.now() + delay;
-      span.status = dns::to_string(rcode);
-      tracer_->record(std::move(span));
-    };
     if (short_circuit.has_value()) {
-      trace_request(short_circuit->header.rcode);
+      count_response(short_circuit->header.rcode);
       send_wire(short_circuit->encode(), dgram.tcp);
       return;
     }
@@ -508,19 +488,19 @@ void AuthServer::attach(net::Transport& network,
       if (!dgram.tcp) {
         dns::Message refusal = dns::Message::make_response(query.value());
         refusal.header.rcode = dns::Rcode::kRefused;
-        trace_request(refusal.header.rcode);
+        count_response(refusal.header.rcode);
         send_wire(refusal.encode(), /*tcp=*/false);
         return;
       }
       std::vector<dns::Message> stream = handle_axfr(query.value());
-      if (!stream.empty()) trace_request(stream.front().header.rcode);
+      if (!stream.empty()) count_response(stream.front().header.rcode);
       for (auto& response : stream) {
         send_wire(response.encode(), /*tcp=*/true);
       }
       return;
     }
     dns::Message response = handle(query.value());
-    trace_request(response.header.rcode);
+    count_response(response.header.rcode);
     Bytes wire = response.encode();
     if (!dgram.tcp) {
       // UDP size limit: the client's EDNS-advertised buffer, or the

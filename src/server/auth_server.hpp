@@ -24,7 +24,6 @@
 #include "dns/zone.hpp"
 #include "net/transport.hpp"
 #include "obs/stats.hpp"
-#include "obs/trace.hpp"
 
 namespace dnsboot::server {
 
@@ -155,10 +154,6 @@ class AuthServer {
   // worker's server registries into its /metrics exposition.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  // Optional request tracing: sampled incoming queries record a "request"
-  // span (receipt → response send, status = rcode). Not owned.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
  private:
   net::SimTime fault_gate(const dns::Message& query, net::SimTime now,
                           std::optional<dns::Message>* short_circuit);
@@ -201,7 +196,6 @@ class AuthServer {
       metrics_.counter("dnsboot_server_malformed_dropped")};
   // Per-rcode response family, pre-bound for rcodes 0..5 plus "other".
   std::vector<obs::Counter*> rcode_counters_;
-  obs::Tracer* tracer_ = nullptr;
 
   // Fault-profile state (shared across all attached addresses — the pool is
   // one server identity).

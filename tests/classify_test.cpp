@@ -2,6 +2,7 @@
 // §4 decision tables, without a simulated network in the loop.
 #include <gtest/gtest.h>
 
+#include "analysis/report_io.hpp"
 #include "analysis/zone_report.hpp"
 #include "base/rng.hpp"
 #include "dnssec/signer.hpp"
@@ -139,6 +140,50 @@ struct FakeWorld {
     return obs;
   }
 
+  // The island observation plus one signaling zone (host.test., secured
+  // under the TLD) whose signal CDS matches the in-zone CDS.
+  scanner::ZoneObservation signal_observation() {
+    auto obs = island_observation();
+    Rng host_rng(30);
+    auto host_keys = dnssec::ZoneKeys::generate(host_rng);
+    scanner::SignalObservation signal;
+    signal.ns = name_of("ns1.host.test.");
+    signal.signaling_zone = name_of("host.test.");
+    signal.signal_name =
+        name_of("_dsboot.victim.test._signal.ns1.host.test.");
+    signal.resolved = true;
+    signal.parent = tld;
+    signal.parent_ds =
+        signed_ds_rrset(name_of("host.test."), host_keys, tld, tld_keys);
+    auto host_dnskey = signed_dnskey_rrset(name_of("host.test."), host_keys);
+    RRsetProbe dnskey_probe;
+    dnskey_probe.qname = name_of("host.test.");
+    dnskey_probe.qtype = dns::RRType::kDNSKEY;
+    dnskey_probe.outcome = RRsetProbe::Outcome::kAnswer;
+    dnskey_probe.rrset = host_dnskey;
+    signal.dnskey_probes = {dnskey_probe};
+
+    dnssec::SignedRRset signal_cds;
+    signal_cds.rrset.name = signal.signal_name;
+    signal_cds.rrset.type = dns::RRType::kCDS;
+    auto sync = dnssec::make_child_sync_records(zone, zone_keys.ksk).take();
+    for (const auto& cds : sync.cds) {
+      signal_cds.rrset.rdatas.push_back(dns::Rdata{cds});
+    }
+    auto sig = dnssec::sign_rrset(signal_cds.rrset, host_keys.zsk,
+                                  name_of("host.test."), policy);
+    signal_cds.signatures = {std::get<dns::RrsigRdata>(sig.rdata)};
+    RRsetProbe cds_probe;
+    cds_probe.qname = signal.signal_name;
+    cds_probe.qtype = dns::RRType::kCDS;
+    cds_probe.outcome = RRsetProbe::Outcome::kAnswer;
+    cds_probe.rrset = signal_cds;
+    signal.cds_probes = {cds_probe};
+
+    obs.signals = {signal};
+    return obs;
+  }
+
   ZoneReport analyze(const scanner::ZoneObservation& obs) {
     TrustContext trust(infra, trust_anchor, kNow);
     OperatorIdentifier operators;
@@ -271,48 +316,7 @@ TEST(Classify, UnresolvedZoneShortCircuits) {
 
 TEST(Classify, SignalCorrectEndToEnd) {
   FakeWorld world;
-  auto obs = world.island_observation();
-  // Signaling zone = host.test., secured under the TLD; signal CDS matches
-  // the in-zone CDS.
-  Rng rng(30);
-  auto host_keys = dnssec::ZoneKeys::generate(rng);
-  scanner::SignalObservation signal;
-  signal.ns = name_of("ns1.host.test.");
-  signal.signaling_zone = name_of("host.test.");
-  signal.signal_name =
-      name_of("_dsboot.victim.test._signal.ns1.host.test.");
-  signal.resolved = true;
-  signal.parent = world.tld;
-  signal.parent_ds = world.signed_ds_rrset(name_of("host.test."), host_keys,
-                                           world.tld, world.tld_keys);
-  auto host_dnskey = world.signed_dnskey_rrset(name_of("host.test."),
-                                               host_keys);
-  RRsetProbe dnskey_probe;
-  dnskey_probe.qname = name_of("host.test.");
-  dnskey_probe.qtype = dns::RRType::kDNSKEY;
-  dnskey_probe.outcome = RRsetProbe::Outcome::kAnswer;
-  dnskey_probe.rrset = host_dnskey;
-  signal.dnskey_probes = {dnskey_probe};
-
-  dnssec::SignedRRset signal_cds;
-  signal_cds.rrset.name = signal.signal_name;
-  signal_cds.rrset.type = dns::RRType::kCDS;
-  auto sync =
-      dnssec::make_child_sync_records(world.zone, world.zone_keys.ksk).take();
-  for (const auto& cds : sync.cds) {
-    signal_cds.rrset.rdatas.push_back(dns::Rdata{cds});
-  }
-  auto sig = dnssec::sign_rrset(signal_cds.rrset, host_keys.zsk,
-                                name_of("host.test."), world.policy);
-  signal_cds.signatures = {std::get<dns::RrsigRdata>(sig.rdata)};
-  RRsetProbe cds_probe;
-  cds_probe.qname = signal.signal_name;
-  cds_probe.qtype = dns::RRType::kCDS;
-  cds_probe.outcome = RRsetProbe::Outcome::kAnswer;
-  cds_probe.rrset = signal_cds;
-  signal.cds_probes = {cds_probe};
-
-  obs.signals = {signal};
+  auto obs = world.signal_observation();
   auto report = world.analyze(obs);
   EXPECT_TRUE(report.signal_present);
   EXPECT_EQ(report.ab, AbStatus::kSignalCorrect) << to_string(report.ab);
@@ -344,6 +348,82 @@ TEST(Classify, SignalCorrectEndToEnd) {
     EXPECT_EQ(r.ab, AbStatus::kSignalIncorrect);
     EXPECT_TRUE(r.signal_violations.not_under_every_ns);
   }
+}
+
+// A report's CSV row plus the verdict flags the row leaves out.
+std::string report_fingerprint(const ZoneReport& r) {
+  const SignalViolations& v = r.signal_violations;
+  std::string out = reports_to_csv({r});
+  for (bool bit : {r.parent_ds_authentic, v.zone_cut, v.not_under_every_ns,
+                   v.chain_invalid, v.inconsistent, v.mismatch_with_zone}) {
+    out += bit ? '1' : '0';
+  }
+  return out;
+}
+
+TEST(Classify, RepeatedAnalysisThroughOneTrustContextIsIdentical) {
+  FakeWorld world;
+  std::vector<scanner::ZoneObservation> observations;
+  observations.push_back(world.signal_observation());
+  {
+    auto secured = world.island_observation();
+    secured.parent_ds = world.signed_ds_rrset(world.zone, world.zone_keys,
+                                              world.tld, world.tld_keys);
+    observations.push_back(secured);
+    // The same DS RRset under a forged signature, after the genuine one.
+    secured.parent_ds.signatures[0].signature[5] ^= 1;
+    observations.push_back(secured);
+  }
+  {
+    auto forged_signal = world.signal_observation();
+    forged_signal.signals[0].cds_probes[0].rrset.signatures[0].signature[3] ^=
+        1;
+    observations.push_back(forged_signal);
+  }
+  {
+    auto bad_soa = world.island_observation();
+    bad_soa.probes[0].rrset.signatures[0].signature[0] ^= 1;
+    observations.push_back(bad_soa);
+  }
+
+  std::vector<std::string> fresh;
+  for (const auto& obs : observations) {
+    fresh.push_back(report_fingerprint(world.analyze(obs)));
+  }
+  // The cases differ from each other, so equality below is not vacuous.
+  EXPECT_NE(fresh[1], fresh[2]);
+  EXPECT_NE(fresh[0], fresh[3]);
+
+  TrustContext shared(world.infra, world.trust_anchor, kNow);
+  OperatorIdentifier operators;
+  std::size_t memo_after_first_pass = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < observations.size(); ++i) {
+      EXPECT_EQ(report_fingerprint(
+                    analyze_zone(observations[i], shared, operators)),
+                fresh[i])
+          << "pass " << pass << ", observation " << i;
+    }
+    if (pass == 0) memo_after_first_pass = shared.memo()->size();
+  }
+  // The second pass verified nothing new: every signature was a memo hit.
+  EXPECT_GT(memo_after_first_pass, 0u);
+  EXPECT_EQ(shared.memo()->size(), memo_after_first_pass);
+}
+
+TEST(Classify, TrustContextSizesItsMemoByZoneCount) {
+  FakeWorld world;
+  const std::size_t floor = dnssec::SignatureMemo::kDefaultCapacity;
+  TrustContext unsized(world.infra, world.trust_anchor, kNow);
+  EXPECT_EQ(unsized.memo()->capacity(), floor);
+  TrustContext few(world.infra, world.trust_anchor, kNow, 3);
+  EXPECT_EQ(few.memo()->capacity(), floor);
+  // A monitor-sized world: more zones than the default capacity holds.
+  const std::size_t zones = floor;
+  TrustContext many(world.infra, world.trust_anchor, kNow, zones);
+  EXPECT_EQ(many.memo()->capacity(),
+            zones * TrustContext::kMemoEntriesPerZone);
+  EXPECT_TRUE(many.tld_secure(world.tld));
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "base/rng.hpp"
+#include "crypto/keys.hpp"
 #include "dns/zonefile.hpp"
 #include "dnssec/canonical.hpp"
 #include "dnssec/signer.hpp"
@@ -277,30 +280,47 @@ enum class Tamper {
 
 class ValidatorTamper : public ::testing::TestWithParam<Tamper> {};
 
-TEST_P(ValidatorTamper, TruthTable) {
+// One A RRset of a signed zone, its RRSIG and the zone's keys: as signed
+// (clean_*) and with `tamper` applied.
+struct TamperCase {
+  dns::Name apex;
+  dns::RRset clean_rrset;
+  std::vector<dns::RrsigRdata> clean_sigs;
+  std::vector<dns::DnskeyRdata> clean_keys;
+  dns::RRset rrset;
+  std::vector<dns::RrsigRdata> sigs;
+  std::vector<dns::DnskeyRdata> keys;
+  std::uint32_t now = kNow;
+};
+
+TamperCase make_tamper_case(Tamper tamper) {
   auto signed_zone = make_signed_zone("example.com.", 11);
   const auto& zone = signed_zone.zone;
-  auto keys = keys_of(zone);
   Name www = name_of("www.example.com.");
-  dns::RRset rrset = *zone.find_rrset(www, RRType::kA);
-  auto sigs = sigs_over(zone, www, RRType::kA);
-  ASSERT_EQ(sigs.size(), 1u);
-  std::uint32_t now = kNow;
+  TamperCase c;
+  c.apex = zone.origin();
+  c.clean_rrset = *zone.find_rrset(www, RRType::kA);
+  c.clean_sigs = sigs_over(zone, www, RRType::kA);
+  c.clean_keys = keys_of(zone);
+  c.rrset = c.clean_rrset;
+  c.sigs = c.clean_sigs;
+  c.keys = c.clean_keys;
+  auto& sigs = c.sigs;
 
-  switch (GetParam()) {
+  switch (tamper) {
     case Tamper::kNone:
       break;
     case Tamper::kFlipSignatureByte:
       sigs[0].signature[10] ^= 0x01;
       break;
     case Tamper::kFlipRdata:
-      std::get<dns::ARdata>(rrset.rdatas[0]).address[3] ^= 0x01;
+      std::get<dns::ARdata>(c.rrset.rdatas[0]).address[3] ^= 0x01;
       break;
     case Tamper::kExpired:
-      now = sigs[0].expiration + 1;
+      c.now = sigs[0].expiration + 1;
       break;
     case Tamper::kNotYetValid:
-      now = sigs[0].inception - 1;
+      c.now = sigs[0].inception - 1;
       break;
     case Tamper::kWrongSigner:
       sigs[0].signer_name = name_of("evil.example.net.");
@@ -314,17 +334,41 @@ TEST_P(ValidatorTamper, TruthTable) {
     case Tamper::kForeignKey: {
       Rng rng(999);
       auto foreign = ZoneKeys::generate(rng);
-      keys = {make_dnskey(foreign.zsk), make_dnskey(foreign.ksk)};
+      c.keys = {make_dnskey(foreign.zsk), make_dnskey(foreign.ksk)};
       break;
     }
   }
+  return c;
+}
 
-  auto v = verify_rrset(rrset, sigs, keys, zone.origin(), now);
+TEST_P(ValidatorTamper, TruthTable) {
+  TamperCase c = make_tamper_case(GetParam());
+  ASSERT_EQ(c.sigs.size(), 1u);
+
+  auto v = verify_rrset(c.rrset, c.sigs, c.keys, c.apex, c.now);
   if (GetParam() == Tamper::kNone) {
     EXPECT_TRUE(v.valid) << v.reason;
   } else {
     EXPECT_FALSE(v.valid);
     EXPECT_FALSE(v.reason.empty());
+  }
+}
+
+// A memo warmed with the clean RRset's verdict gives every tampered case
+// the verdict and reason it gets without a memo.
+TEST_P(ValidatorTamper, SameVerdictThroughWarmMemo) {
+  TamperCase c = make_tamper_case(GetParam());
+  SignatureMemo memo;
+  ASSERT_TRUE(verify_rrset(c.clean_rrset, c.clean_sigs, c.clean_keys, c.apex,
+                           kNow, &memo)
+                  .valid);
+  ASSERT_EQ(memo.size(), 1u);
+
+  auto without = verify_rrset(c.rrset, c.sigs, c.keys, c.apex, c.now);
+  for (int round = 0; round < 2; ++round) {
+    auto with = verify_rrset(c.rrset, c.sigs, c.keys, c.apex, c.now, &memo);
+    EXPECT_EQ(with.valid, without.valid) << "round " << round;
+    EXPECT_EQ(with.reason, without.reason) << "round " << round;
   }
 }
 
@@ -335,6 +379,106 @@ INSTANTIATE_TEST_SUITE_P(
                       Tamper::kNotYetValid, Tamper::kWrongSigner,
                       Tamper::kWrongKeyTag, Tamper::kWrongAlgorithm,
                       Tamper::kForeignKey));
+
+// --- signature memo ----------------------------------------------------------
+
+TEST(SignatureMemo, HitDoesNotBypassRrsigChecks) {
+  TamperCase c = make_tamper_case(Tamper::kNone);
+  const auto& rrsig = c.sigs[0];
+  const dns::DnskeyRdata* signer_key = nullptr;
+  for (const auto& key : c.keys) {
+    if (key.key_tag() == rrsig.key_tag) signer_key = &key;
+  }
+  ASSERT_NE(signer_key, nullptr);
+  SignatureMemo memo;
+  ASSERT_TRUE(
+      verify_signature(c.rrset, rrsig, *signer_key, c.apex, kNow, &memo).valid);
+  ASSERT_EQ(memo.size(), 1u);
+
+  EXPECT_EQ(verify_signature(c.rrset, rrsig, *signer_key, c.apex,
+                             rrsig.expiration + 1, &memo)
+                .reason,
+            "rrsig.expired");
+  EXPECT_EQ(verify_signature(c.rrset, rrsig, *signer_key, c.apex,
+                             rrsig.inception - 1, &memo)
+                .reason,
+            "rrsig.not_yet_valid");
+  EXPECT_EQ(verify_signature(c.rrset, rrsig, *signer_key,
+                             name_of("other.example."), kNow, &memo)
+                .reason,
+            "rrsig.wrong_signer");
+  for (const auto& key : c.keys) {
+    if (&key == signer_key) continue;
+    EXPECT_EQ(verify_signature(c.rrset, rrsig, key, c.apex, kNow, &memo)
+                  .reason,
+              "rrsig.key_tag_mismatch");
+  }
+  // None of these reached the signature arithmetic, so none was memoised,
+  // and the original pair still verifies.
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_TRUE(
+      verify_signature(c.rrset, rrsig, *signer_key, c.apex, kNow, &memo).valid);
+}
+
+TEST(SignatureMemo, DistinctKeySignatureOrMessageNeverHits) {
+  Rng rng(41);
+  auto key = crypto::KeyPair::generate(rng, crypto::kZskFlags);
+  auto other = crypto::KeyPair::generate(rng, crypto::kZskFlags);
+  const Bytes message = {1, 2, 3, 4};
+  const Bytes other_message = {1, 2, 3, 5};
+  const auto sig = key.sign(message);
+  Bytes bad_sig(sig.begin(), sig.end());
+  bad_sig[7] ^= 0x01;
+
+  SignatureMemo memo;
+  EXPECT_TRUE(memo.verify(key.public_key(), message, sig));
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_FALSE(memo.verify(other.public_key(), message, sig));
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_FALSE(memo.verify(key.public_key(), message, bad_sig));
+  EXPECT_EQ(memo.size(), 3u);
+  EXPECT_FALSE(memo.verify(key.public_key(), other_message, sig));
+  EXPECT_EQ(memo.size(), 4u);
+  // Repeats hit, for both outcomes, and add nothing.
+  EXPECT_TRUE(memo.verify(key.public_key(), message, sig));
+  EXPECT_FALSE(memo.verify(key.public_key(), message, bad_sig));
+  EXPECT_EQ(memo.size(), 4u);
+  // Wrong sizes fail without an entry.
+  EXPECT_FALSE(memo.verify(Bytes(31, 0), message, sig));
+  EXPECT_FALSE(memo.verify(key.public_key(), message, Bytes(63, 0)));
+  EXPECT_EQ(memo.size(), 4u);
+}
+
+TEST(SignatureMemo, ClearsWhenFullAndStaysCorrect) {
+  Rng rng(42);
+  auto key = crypto::KeyPair::generate(rng, crypto::kZskFlags);
+  const Bytes message = {9, 9, 9};
+  const auto sig = key.sign(message);
+  Bytes bad_sig(sig.begin(), sig.end());
+  bad_sig[0] ^= 0x01;
+
+  SignatureMemo memo(64);
+  EXPECT_EQ(memo.capacity(), 64u);
+  EXPECT_TRUE(memo.verify(key.public_key(), message, sig));
+  EXPECT_FALSE(memo.verify(key.public_key(), message, bad_sig));
+  // Fill with distinct signatures whose S is out of range: the verifier
+  // rejects them before any point arithmetic, so filling is cheap.
+  Bytes filler(crypto::kEd25519SignatureSize, 0xff);
+  std::size_t i = 0;
+  while (memo.size() < memo.capacity()) {
+    std::memcpy(filler.data(), &i, sizeof(i));
+    EXPECT_FALSE(memo.verify(key.public_key(), message, filler));
+    ++i;
+  }
+  EXPECT_EQ(memo.size(), 64u);
+  // The next new entry clears the memo first.
+  std::memcpy(filler.data(), &i, sizeof(i));
+  EXPECT_FALSE(memo.verify(key.public_key(), message, filler));
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_TRUE(memo.verify(key.public_key(), message, sig));
+  EXPECT_FALSE(memo.verify(key.public_key(), message, bad_sig));
+  EXPECT_EQ(memo.size(), 3u);
+}
 
 TEST(Validator, DsMatchesOnlyTheRightKeyAndOwner) {
   Rng rng(12);

@@ -75,19 +75,29 @@ TEST(Lockdep, ConsistentOrderIsSilentAndRecordsEdges) {
 
 TEST(Lockdep, InvertedOrderFailsAtAcquisition) {
   FailureCapture capture;
-  base::Mutex a("test::cycle_a");
-  base::Mutex b("test::cycle_b");
-  {
-    base::MutexLock hold_a(a);
-    base::MutexLock hold_b(b);  // observe a -> b
-  }
-  {
-    base::MutexLock hold_b(b);
-    // The reversal is reported *before* blocking, on the first run that
-    // could deadlock — not the unlucky interleaving that does.
-    base::MutexLock hold_a(a);
-    EXPECT_EQ(capture.count("lockdep-cycle"), 1u);
-  }
+  // Drive the hooks directly, in the order base::Mutex calls them: holding
+  // two real mutexes in both orders is itself a lock-order inversion, which
+  // ThreadSanitizer's deadlock detector reports and halts on.
+  int a = 0;
+  int b = 0;
+  auto acquire = [](const int* lock, const char* name) {
+    verify::lock_acquiring(lock, name);
+    verify::lock_acquired(lock);
+  };
+  acquire(&a, "test::cycle_a");
+  acquire(&b, "test::cycle_b");  // observe a -> b
+  verify::lock_released(&b);
+  verify::lock_released(&a);
+
+  acquire(&b, "test::cycle_b");
+  // The reversal is reported *before* blocking, on the first run that
+  // could deadlock — not the unlucky interleaving that does.
+  acquire(&a, "test::cycle_a");
+  EXPECT_EQ(capture.count("lockdep-cycle"), 1u);
+  verify::lock_released(&a);
+  verify::lock_released(&b);
+  verify::lock_destroyed(&a);
+  verify::lock_destroyed(&b);
 }
 
 TEST(Lockdep, RecursiveAcquisitionFails) {
